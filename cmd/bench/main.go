@@ -122,6 +122,28 @@ func benchCampaignTransient(opts campaign.Options, stepsOut *int) func(b *testin
 	}
 }
 
+// benchCampaignPermanent measures one permanent instruction campaign at
+// the bench study's sweep size (every 6th opcode, one repetition): cold
+// whole-scenario runs with a masked-direct permanent fault on target.
+// StepsPerSec is simulated steps over campaign wall time, which
+// includes whatever per-campaign setup the campaign job runs.
+func benchCampaignPermanent(target vm.Device, stepsOut *int) func(b *testing.B) {
+	sc := scenario.LeadSlowdown()
+	sizes := campaign.BenchSizes()
+	golden := campaign.Golden(sc, sim.RoundRobin, 1, 1033)
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c := campaign.RunWithOptions(sc, sim.RoundRobin, target, fi.Permanent, sizes, 33, golden, campaign.Options{})
+			total := 0
+			for _, r := range c.Runs {
+				total += len(r.Result.Trace.Steps)
+			}
+			*stepsOut = total
+		}
+	}
+}
+
 // benchAgentFrame measures one full agent pipeline step (CPU marshal-in
 // → GPU vision/control → CPU marshal-out, ~130k dynamic instructions)
 // pinned to a VM tier. The tier-1/tier-0 ns/op ratio is the fused-kernel
@@ -512,6 +534,13 @@ func main() {
 			return r, steps
 		}
 	}
+	permCase := func(target vm.Device) func() (testing.BenchmarkResult, int) {
+		return func() (testing.BenchmarkResult, int) {
+			var steps int
+			r := testing.Benchmark(benchCampaignPermanent(target, &steps))
+			return r, steps
+		}
+	}
 	noSteps := func(fn func(b *testing.B)) func() (testing.BenchmarkResult, int) {
 		return func() (testing.BenchmarkResult, int) { return testing.Benchmark(fn), 0 }
 	}
@@ -535,6 +564,8 @@ func main() {
 		{"campaign/transient-splice", campCase(campaign.Options{LaneWidth: -1})},
 		{"campaign/transient-batch", campCase(campaign.Options{})},
 		{"campaign/transient-traced", campCase(campaign.Options{Propagation: true})},
+		{"campaign/permanent-gpu", permCase(vm.GPU)},
+		{"campaign/permanent-cpu", permCase(vm.CPU)},
 		{"campaign/sensorfault", surfCase(fi.SurfaceSensor)},
 		{"campaign/hallucinate", surfCase(fi.SurfaceHallucinate)},
 		{"render/center-camera", noSteps(benchRender)},

@@ -72,7 +72,7 @@ func TestStepLanesMatchesSolo(t *testing.T) {
 	// The pack must actually have executed in lockstep, not fallen back
 	// to per-lane solo runs.
 	for k, a := range lanes {
-		if _, _, _, batched := a.Machine().TierCounts(); batched == 0 {
+		if _, _, _, batched := a.Machine().TierCounts(vm.GPU); batched == 0 {
 			t.Fatalf("lane %d executed no batched instructions", k)
 		}
 	}

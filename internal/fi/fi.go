@@ -6,7 +6,10 @@
 // with a mask. A transient fault corrupts the destination of exactly one
 // dynamic instruction; a permanent fault corrupts the destination of all
 // dynamic instances of a selected opcode. Injectors attach to a
-// vm.Machine through its writeback hook.
+// vm.Machine through Injector.Arm: a transient plan through the
+// machine's writeback hook, a permanent plan through its masked-direct
+// mode (vm.Machine.ArmPermanent), which applies the XOR inline the way
+// NVBitFI instruments only the matching instructions.
 package fi
 
 import (
@@ -70,7 +73,10 @@ func (p Plan) String() string {
 // safe for concurrent use; each experiment run owns its injector.
 type Injector struct {
 	plan        Plan
-	activations uint64
+	activations uint64 // transient plans; a permanent plan counts in mach
+	// mach is the machine a permanent plan is armed on (nil before Arm
+	// and for transient plans).
+	mach *vm.Machine
 }
 
 // NewInjector creates an injector for the plan.
@@ -81,20 +87,45 @@ func NewInjector(plan Plan) *Injector {
 // Plan returns the injector's plan.
 func (in *Injector) Plan() Plan { return in.plan }
 
+// Arm attaches the injector to m, the only way a plan reaches a
+// machine. A transient plan installs Hook as m's writeback hook; a
+// permanent plan arms m's masked-direct permanent fault, which keeps the
+// agent on the hook-free tier (fused kernels included) and counts
+// activations in m.
+func (in *Injector) Arm(m *vm.Machine) {
+	if in.plan.Model == Permanent {
+		m.ArmPermanent(in.plan.Target, in.plan.Opcode, in.plan.Mask())
+		m.SetActivations(in.activations)
+		in.mach = m
+		return
+	}
+	m.SetFaultHook(in.Hook)
+}
+
 // Activations returns how many writebacks were corrupted. Zero means the
 // fault was never activated (e.g., a transient target index the run never
 // reached) — the paper's "#Active" column.
-func (in *Injector) Activations() uint64 { return in.activations }
+func (in *Injector) Activations() uint64 {
+	if in.mach != nil {
+		return in.mach.Activations()
+	}
+	return in.activations
+}
 
 // Snapshot captures the injector's activation count for checkpointing.
-func (in *Injector) Snapshot() uint64 { return in.activations }
+func (in *Injector) Snapshot() uint64 { return in.Activations() }
 
 // Restore sets the activation count from a checkpoint, making the
 // injector fork-safe: a transient injector restored with activations > 0
 // will never fire again (its single shot already happened in the
 // checkpointed prefix), and a permanent injector's #Active accounting
 // continues from the prefix total instead of restarting at zero.
-func (in *Injector) Restore(activations uint64) { in.activations = activations }
+func (in *Injector) Restore(activations uint64) {
+	in.activations = activations
+	if in.mach != nil {
+		in.mach.SetActivations(activations)
+	}
+}
 
 // Quiescent reports whether the injector can never fire again, given the
 // target device's current cumulative dynamic instruction count. This is
@@ -116,20 +147,13 @@ func (in *Injector) Quiescent(count uint64) bool {
 	return in.activations > 0 || count >= in.plan.DynIndex
 }
 
-// Hook is the vm.FaultHook to install on the target machine.
+// Hook is the transient plan's vm.FaultHook, which Arm installs: it
+// corrupts the single writeback at the plan's DynIndex. Permanent plans
+// never use it (DynIndex 0 matches no writeback); they arm the machine's
+// masked-direct mode instead.
 func (in *Injector) Hook(ev vm.WriteEvent) uint64 {
-	if ev.Device != in.plan.Target {
+	if ev.Device != in.plan.Target || ev.DynIndex != in.plan.DynIndex || in.activations > 0 {
 		return 0
-	}
-	switch in.plan.Model {
-	case Transient:
-		if ev.DynIndex != in.plan.DynIndex || in.activations > 0 {
-			return 0
-		}
-	case Permanent:
-		if ev.Op != in.plan.Opcode {
-			return 0
-		}
 	}
 	in.activations++
 	return in.plan.Mask()
@@ -222,10 +246,10 @@ func (pr *Profile) ActivationStep(agent int, d vm.Device, dyn uint64) (step int,
 	return lo, true
 }
 
-// ActiveOpcodes returns the opcodes that execute on the device, the
-// permanent-fault campaign's sweep set (the paper sweeps all ISA opcodes;
-// opcodes that never execute are trivially inactive, so we report them as
-// inactive runs rather than executing them).
+// ActiveOpcodes returns the opcodes whose writebacks the profiled run
+// executed on the device. Permanent campaigns do not use it: they sweep
+// the whole ISA (PermanentPlans) like the paper, and an opcode that
+// never executes simply yields an inactive run.
 func (pr *Profile) ActiveOpcodes(d vm.Device) []vm.Opcode {
 	var ops []vm.Opcode
 	for op := 0; op < vm.NumOpcodes; op++ {
@@ -277,10 +301,12 @@ func (p *Planner) TransientPlans(target vm.Device, prof *Profile, n int) []Plan 
 	return plans
 }
 
-// PermanentPlans returns one plan per ISA opcode per repetition, the
-// paper's permanent campaign structure (171 GPU / 131 CPU opcodes × 3
-// reps there; vm.NumOpcodes × reps here). Each repetition redraws the
-// bit position.
+// PermanentPlans returns one plan per ISA opcode with a destination per
+// repetition, the paper's permanent campaign structure (171 GPU / 131
+// CPU opcodes × 3 reps there; the destination-writing opcodes of the ISA
+// × reps here). Each repetition redraws the bit position. It needs no
+// profile: opcodes the agent never executes stay in the sweep and come
+// back as inactive runs.
 func (p *Planner) PermanentPlans(target vm.Device, reps int) []Plan {
 	if reps <= 0 {
 		return []Plan{}
@@ -289,11 +315,9 @@ func (p *Planner) PermanentPlans(target vm.Device, reps int) []Plan {
 	for rep := 0; rep < reps; rep++ {
 		for op := 0; op < vm.NumOpcodes; op++ {
 			if vm.Opcode(op).Dest() == vm.DestNone {
-				// Control-flow opcodes have no destination register; the
-				// real injectors skip them too. Keep them in the sweep as
-				// guaranteed-inactive runs would waste a full simulation,
-				// so they are excluded here and counted as inactive by
-				// the campaign.
+				// Control-flow opcodes have no destination register, so
+				// the real injectors skip them too; a run for one would
+				// be a guaranteed-inactive full simulation.
 				continue
 			}
 			plans = append(plans, Plan{

@@ -127,7 +127,7 @@ func TestPermanentInjectorHitsEveryInstance(t *testing.T) {
 
 	inj := NewInjector(Plan{Target: vm.GPU, Model: Permanent, Opcode: vm.FMA, Bit: 1})
 	m2 := vm.NewMachine(64)
-	m2.SetFaultHook(inj.Hook)
+	inj.Arm(m2)
 	if err := m2.Run(vm.GPU, buildWorkload(), 1<<20); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestPermanentFaultOnAddressRegisterTraps(t *testing.T) {
 	// outcome).
 	inj := NewInjector(Plan{Target: vm.GPU, Model: Permanent, Opcode: vm.IADDI, Bit: 63})
 	m := vm.NewMachine(64)
-	m.SetFaultHook(inj.Hook)
+	inj.Arm(m)
 	err := m.Run(vm.GPU, buildWorkload(), 1<<20)
 	if err == nil {
 		t.Fatal("expected a trap from corrupted addresses")
@@ -265,17 +265,18 @@ func TestPlannerDeterminism(t *testing.T) {
 }
 
 func TestInjectedRunDiffersFromGolden(t *testing.T) {
-	runOnce := func(hook vm.FaultHook) float64 {
+	runOnce := func(inj *Injector) float64 {
 		m := vm.NewMachine(64)
-		m.SetFaultHook(hook)
+		if inj != nil {
+			inj.Arm(m)
+		}
 		if err := m.Run(vm.GPU, buildWorkload(), 1<<20); err != nil {
 			return -1 // trap: certainly "different"
 		}
 		return m.Float(vm.GPU, 0)
 	}
 	golden := runOnce(nil)
-	inj := NewInjector(Plan{Target: vm.GPU, Model: Permanent, Opcode: vm.FMA, Bit: 50})
-	faulty := runOnce(inj.Hook)
+	faulty := runOnce(NewInjector(Plan{Target: vm.GPU, Model: Permanent, Opcode: vm.FMA, Bit: 50}))
 	if golden == faulty {
 		t.Error("high-bit permanent FMA corruption did not change the result")
 	}

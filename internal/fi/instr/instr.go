@@ -1,8 +1,9 @@
 // Package instr is the instruction-level fault surface: the paper's
 // NVBitFI-style transient/permanent XOR injector (internal/fi's Plan +
-// Injector), repackaged as the first fi.Surface implementation. The
-// injector itself is untouched — this package only adapts its VM
-// write-hook arming, quiescence probe, and activation counters to the
+// Injector), repackaged as the first fi.Surface implementation. This
+// package only adapts the injector's VM arming (Injector.Arm: the write
+// hook for a transient plan, the machine's masked-direct mode for a
+// permanent one), quiescence probe, and activation counters to the
 // pluggable-surface interface, so the sim runner no longer needs to
 // know about *fi.Injector at all.
 package instr
@@ -49,7 +50,7 @@ type surface struct {
 
 func (s *surface) Name() string { return fi.SurfaceInstr }
 
-// Arm installs the write hook per agent with the paper's reach
+// Arm arms one injector per struck agent with the paper's reach
 // semantics: a transient fault strikes one process; a permanent fault
 // strikes the shared processor, so it reaches every agent except in the
 // FD baseline's dedicated-replica mode, where it strikes one replica
@@ -62,7 +63,7 @@ func (s *surface) Arm(h fi.Harness) {
 			continue
 		}
 		inj := fi.NewInjector(s.plan.P)
-		h.Machine(i).SetFaultHook(inj.Hook)
+		inj.Arm(h.Machine(i))
 		s.injectors = append(s.injectors, inj)
 		s.machines = append(s.machines, h.Machine(i))
 	}
@@ -106,10 +107,12 @@ func (s *surface) Restore(counters []uint64) {
 	}
 }
 
-// Release uninstalls the write hooks — the batched-lane fast path once
-// every injector is quiescent.
+// Release uninstalls the write hooks and disarms any permanent fault —
+// the batched-lane fast path once every injector is quiescent. The
+// activation counts survive it.
 func (s *surface) Release() {
 	for _, m := range s.machines {
 		m.SetFaultHook(nil)
+		m.Disarm()
 	}
 }

@@ -147,14 +147,27 @@ func TestInjectorNeverDoubleFiresAcrossFork(t *testing.T) {
 // injector keeps corrupting after a restore and its count continues from
 // the checkpointed total.
 func TestPermanentInjectorRestoreContinuesAccounting(t *testing.T) {
-	plan := Plan{Target: vm.CPU, Model: Permanent, Opcode: vm.IADD, Bit: 1}
-	in := NewInjector(plan)
-	in.Restore(41)
-	mask := in.Hook(vm.WriteEvent{Device: vm.CPU, Op: vm.IADD, DynIndex: 99, Kind: vm.DestInt})
-	if mask != plan.Mask() {
-		t.Fatalf("restored permanent injector did not corrupt: mask=%#x", mask)
+	plan := Plan{Target: vm.CPU, Model: Permanent, Opcode: vm.FMA, Bit: 1}
+	run := func(restored uint64) (*Injector, *vm.Machine) {
+		in := NewInjector(plan)
+		m := vm.NewMachine(64)
+		in.Arm(m)
+		in.Restore(restored)
+		if err := m.Run(vm.CPU, buildWorkload(), 1<<20); err != nil {
+			t.Fatal(err)
+		}
+		return in, m
 	}
-	if in.Activations() != 42 {
-		t.Errorf("activations = %d, want 42", in.Activations())
+	fresh, _ := run(0)
+	per := fresh.Activations()
+	if per == 0 {
+		t.Fatal("workload never executed the faulted opcode")
+	}
+	in, m := run(41)
+	if in.Activations() != 41+per || m.Activations() != 41+per {
+		t.Errorf("activations = %d (machine %d), want %d", in.Activations(), m.Activations(), 41+per)
+	}
+	if in.Snapshot() != in.Activations() {
+		t.Errorf("snapshot %d != activations %d", in.Snapshot(), in.Activations())
 	}
 }

@@ -138,7 +138,8 @@ const DefaultCheckpointEvery = 50
 //
 // Permanent campaigns keep the cold path with per-run seeds: a permanent
 // fault corrupts from the first instruction, so no prefix is fault-free,
-// nothing is shareable, and the fault is never quiescent.
+// nothing is shareable, and the fault is never quiescent. Their plans
+// come from an ISA sweep, so they run no profiling pass.
 func runCampaign(l *Lab, s CampaignSpec) *Campaign {
 	if s.Surface != "" {
 		// Pluggable-surface campaigns plan in step space and fork from a
@@ -153,15 +154,18 @@ func runCampaign(l *Lab, s CampaignSpec) *Campaign {
 		every = DefaultCheckpointEvery
 	}
 
+	// Only transient plans read a profile: permanent plans sweep the ISA.
 	var prof *fi.Profile
 	var stream *sim.GoldenStream
 	var cps []*sim.Checkpoint
-	if s.Model == fi.Transient && every > 0 {
+	switch {
+	case s.Model != fi.Transient:
+	case every > 0:
 		// Checkpoints are pooled live state, released below — this pass is
 		// private to the job and never enters the artifact store.
 		prof, stream = ProfileWithStream(sc, s.Mode, seedBase, every)
 		cps = stream.Checkpoints
-	} else {
+	default:
 		prof = l.Profile(ProfileSpec{Scenario: s.Scenario, Mode: s.Mode, Seed: seedBase})
 	}
 	planner := fi.NewPlanner(rng.New(seedBase ^ 0xfa017))

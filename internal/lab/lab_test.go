@@ -175,16 +175,39 @@ func TestRequireDAG(t *testing.T) {
 	if len(g) == 0 || &c.Golden[0] != &g[0] {
 		t.Error("campaign did not receive the shared golden artifact")
 	}
-	// A permanent campaign adds a shareable profile artifact to the DAG.
+	// A permanent campaign plans by ISA sweep: it adds only itself.
 	perm := camp
 	perm.Model = fi.Permanent
+	if hasProfileDep(perm) {
+		t.Error("permanent campaign depends on a profiling pass it never reads")
+	}
 	l.Require(perm)
-	if st := l.Stats(); st.Computed != 4 {
-		t.Errorf("Computed = %d after permanent campaign, want 4 (+profile +campaign)", st.Computed)
+	if st := l.Stats(); st.Computed != 3 {
+		t.Errorf("Computed = %d after permanent campaign, want 3 (+campaign)", st.Computed)
 	}
-	if l.Profile(ProfileSpec{Scenario: "LeadSlowdown", Mode: sim.RoundRobin, Seed: 33}) == nil {
-		t.Error("permanent campaign's profile artifact missing")
+	// A cold transient campaign adds a shareable profile artifact to the
+	// DAG (a new seed, so the campaign is not a memo hit of camp).
+	cold := camp
+	cold.Seed, cold.Golden, cold.CheckpointEvery = 34, golden, -1
+	if !hasProfileDep(cold) {
+		t.Error("cold transient campaign has no profiling-pass dependency")
 	}
+	l.Require(cold)
+	if st := l.Stats(); st.Computed != 5 {
+		t.Errorf("Computed = %d after cold transient campaign, want 5 (+profile +campaign)", st.Computed)
+	}
+	if l.Profile(ProfileSpec{Scenario: "LeadSlowdown", Mode: sim.RoundRobin, Seed: 34}) == nil || l.Stats().Computed != 5 {
+		t.Error("cold transient campaign's profile artifact missing")
+	}
+}
+
+func hasProfileDep(s CampaignSpec) bool {
+	for _, d := range s.normalize().(CampaignSpec).deps() {
+		if _, ok := d.(ProfileSpec); ok {
+			return true
+		}
+	}
+	return false
 }
 
 // TestCrossLabDeterminism: the same campaign spec executed in two

@@ -112,7 +112,8 @@ func (s GoldenSpec) run(l *Lab) any {
 
 // ProfileSpec declares one fault-free profiling pass: the dynamic
 // instruction profile of agent 0 (the NVBitFI/PinFI analogue), shared by
-// every campaign that plans against the same (scenario, mode, seed).
+// every cold transient campaign (CheckpointEvery < 0) that plans against
+// the same (scenario, mode, seed).
 // Artifact type: *fi.Profile.
 //
 // The checkpoint-emitting profiling pass of a fork-executed transient
@@ -154,17 +155,19 @@ func (s ProfileSpec) run(l *Lab) any {
 }
 
 // CampaignSpec declares one fault-injection campaign: plans drawn from a
-// profiling pass, one simulation per plan, golden controls from the
-// Golden dependency, aggregated into a *Campaign artifact.
+// profiling pass (transient) or an ISA sweep (permanent), one simulation
+// per plan, golden controls from the Golden dependency, aggregated into
+// a *Campaign artifact.
 type CampaignSpec struct {
 	Scenario string
 	Mode     sim.Mode
 	Target   vm.Device
 	Model    fi.Model
 	Sizes    Sizes
-	// Seed is the campaign base seed: it seeds the profiling pass, the
-	// planner, the fault-agent draw, and (for permanent campaigns) the
-	// per-run seeds. Zero selects a key-derived seed.
+	// Seed is the campaign base seed: it seeds the profiling pass of a
+	// transient campaign, the planner, the fault-agent draw, and (for
+	// permanent campaigns) the per-run seeds. Zero selects a key-derived
+	// seed.
 	Seed uint64
 	// Golden names the shared golden control set. The zero value derives
 	// the campaign's conventional private set: Sizes.Golden runs of the
@@ -267,11 +270,12 @@ func (s CampaignSpec) kind() string    { return "campaign" }
 
 func (s CampaignSpec) deps() []Spec {
 	d := []Spec{s.Golden}
-	if s.Surface == "" && (s.Model == fi.Permanent || s.CheckpointEvery < 0) {
-		// These paths plan against a plain (checkpoint-free) profiling
-		// pass, a shareable artifact. Fork-executed transient campaigns
-		// profile privately — see ProfileSpec. Non-instruction surfaces
-		// plan in step space and never need an instruction profile.
+	if s.Surface == "" && s.Model == fi.Transient && s.CheckpointEvery < 0 {
+		// Cold transient campaigns plan against a plain (checkpoint-free)
+		// profiling pass, a shareable artifact. Fork-executed transient
+		// campaigns profile privately — see ProfileSpec. Permanent plans
+		// sweep the ISA without a profile, and non-instruction surfaces
+		// plan in step space.
 		d = append(d, ProfileSpec{Scenario: s.Scenario, Mode: s.Mode, Seed: s.Seed})
 	}
 	return d

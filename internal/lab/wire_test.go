@@ -55,15 +55,23 @@ func TestDecodeSpecRejects(t *testing.T) {
 // Plan must expand the dependency closure deterministically with
 // dependencies strictly before their dependents, collapsing duplicates.
 func TestPlanClosure(t *testing.T) {
-	// Permanent campaigns depend on both a golden set and a shared
+	// Cold transient campaigns depend on both a golden set and a shared
 	// profiling pass, the deepest DAG a single spec produces.
 	camp := CampaignSpec{
-		Scenario: "LeadSlowdown", Mode: sim.RoundRobin, Target: vm.GPU, Model: fi.Permanent,
-		Sizes: shortSizes(), Seed: 33,
+		Scenario: "LeadSlowdown", Mode: sim.RoundRobin, Target: vm.GPU, Model: fi.Transient,
+		Sizes: shortSizes(), Seed: 33, CheckpointEvery: -1,
 	}
 	plan := Plan(camp)
 	if len(plan) != 3 {
 		t.Fatalf("plan has %d nodes, want 3 (golden, profile, campaign): %+v", len(plan), plan)
+	}
+	// A permanent campaign sweeps the ISA and reads no profile.
+	perm := camp
+	perm.Model = fi.Permanent
+	for _, n := range Plan(perm) {
+		if n.Kind == "profile" {
+			t.Errorf("permanent campaign plan has a profile node: %+v", Plan(perm))
+		}
 	}
 	pos := make(map[string]int, len(plan))
 	for i, n := range plan {

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"diverseav/internal/obs"
+	"diverseav/internal/vm"
 )
 
 // simInstruments caches the sim's flight-recorder handles. Telemetry is
@@ -119,10 +120,12 @@ func (r *runner) publishRun(res *Result) {
 	in.activations.Add(res.Activations)
 	in.checkpoints.Add(uint64(len(res.Checkpoints)))
 	for _, ag := range r.agents {
-		fused, scalar, hooked, batched := ag.Machine().TierCounts()
-		in.instrFused.Add(fused)
-		in.instrScalar.Add(scalar)
-		in.instrHooked.Add(hooked)
-		in.instrBatched.Add(batched)
+		for _, d := range []vm.Device{vm.CPU, vm.GPU} {
+			fused, scalar, hooked, batched := ag.Machine().TierCounts(d)
+			in.instrFused.Add(fused)
+			in.instrScalar.Add(scalar)
+			in.instrHooked.Add(hooked)
+			in.instrBatched.Add(batched)
+		}
 	}
 }

@@ -59,7 +59,7 @@ func (b *batchState) detach(k int, m *Machine, d Device, steps uint64) {
 		ds.r[i] = b.r[i][k]
 	}
 	ds.count = b.count[k]
-	m.batchedInstr += steps
+	m.batchedInstr[d] += steps
 }
 
 // release drops the per-lane borrows so the pool does not pin lane
@@ -117,15 +117,23 @@ func (b *batchState) writeI(k int, d Device, in *Instr, v int64) {
 // The returned slice has one entry per lane, nil for a clean HALT.
 //
 // len(ms) must be in [1, MaxLanes]; a single lane falls through to the
-// plain solo path.
+// plain solo path. The lockstep loop has no masked-direct permanent
+// fault support, so a pack holding a machine with a permanent fault
+// armed on d runs every lane solo instead of dropping the fault.
 func RunLanes(d Device, p *Program, stepBudget uint64, ms []*Machine) []error {
 	n := len(ms)
 	if n == 0 || n > MaxLanes {
 		panic(fmt.Sprintf("vm: RunLanes width %d out of range [1,%d]", n, MaxLanes))
 	}
 	errs := make([]error, n)
-	if n == 1 {
-		errs[0] = ms[0].Run(d, p, stepBudget)
+	solo := n == 1
+	for _, m := range ms {
+		solo = solo || m.faultOn(d) != noFault
+	}
+	if solo {
+		for k, m := range ms {
+			errs[k] = m.Run(d, p, stepBudget)
+		}
 		return errs
 	}
 	b := batchPool.Get().(*batchState)

@@ -121,7 +121,7 @@ func TestLaneTierAccounting(t *testing.T) {
 		}
 	}
 	for k, m := range ms {
-		fused, scalar, hooked, batched := m.TierCounts()
+		fused, scalar, hooked, batched := m.TierCounts(GPU)
 		if batched == 0 {
 			t.Fatalf("lane %d: no batched instructions counted", k)
 		}

@@ -12,7 +12,9 @@ import "math"
 // FMOVI/IMOVI prologue runs — and compiles each match into a fusedKernel
 // that executes whole loop iterations in straight-line Go over m.mem and
 // the register files. runDirect dispatches to a kernel whenever the
-// program counter lands on a kernel entry and no fault hook is installed.
+// program counter lands on a kernel entry and no fault hook is installed,
+// unless the kernel's code contains the opcode of an armed permanent
+// fault.
 //
 // The hard invariant: a kernel is a pure function of (registers, memory)
 // at its entry pc whose effect is bit-identical to scalar execution from
@@ -74,6 +76,10 @@ type fusedKernel struct {
 	name  string // fusion-catalog name, e.g. "score-loop"
 	entry int    // pc the kernel replaces
 	fn    kernelFn
+	// ops is the static opcode set (bit i = Opcode i) of the code the
+	// kernel claims, which is all it executes. A run with a permanent
+	// fault on one of these opcodes skips the kernel (see runDirect).
+	ops uint64
 }
 
 // fusionPlan is the tier-1 compilation of a Program: a pc → kernel-index
@@ -100,6 +106,9 @@ func fuse(p *Program) {
 			for i := range plan.pcMap {
 				plan.pcMap[i] = -1
 			}
+		}
+		for _, in := range code[pc : pc+claimed] {
+			k.ops |= 1 << in.Op
 		}
 		plan.pcMap[pc] = int32(len(plan.kernels))
 		plan.kernels = append(plan.kernels, k)

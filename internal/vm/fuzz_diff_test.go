@@ -15,41 +15,14 @@ import (
 // wild branch targets, OOB addresses, undefined opcodes.
 func TestFuzzDirectVsHooked(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	budgets := []uint64{0, 1, 7, 64, 700}
 	opSeen := make([]bool, NumOpcodes+1)
 	for iter := 0; iter < 400; iter++ {
-		codeLen := 4 + rng.Intn(40)
-		code := make([]Instr, codeLen)
-		for i := range code {
-			// NumOpcodes occasionally lands an undefined opcode, pinning
-			// the TrapBadInstr path.
-			op := Opcode(rng.Intn(NumOpcodes + 1))
-			opSeen[op] = true
-			in := Instr{
-				Op: op,
-				// NumIntRegs is the smaller file, so indices are valid
-				// for float and int registers alike.
-				Dst: uint16(rng.Intn(NumIntRegs)),
-				A:   uint16(rng.Intn(NumIntRegs)),
-				B:   uint16(rng.Intn(NumIntRegs)),
-				C:   uint16(rng.Intn(NumIntRegs)),
-				Imm: rng.NormFloat64() * 10,
-			}
-			switch op {
-			case JMP, BEQZ, BNEZ:
-				// Mostly valid targets, sometimes just outside.
-				in.IImm = int64(rng.Intn(codeLen+4) - 2)
-			case LD, ST:
-				in.IImm = int64(rng.Intn(140) - 70)
-			default:
-				in.IImm = int64(rng.Intn(2000) - 1000)
-			}
-			code[i] = in
+		p := randomProgram(rng)
+		for _, in := range p.Code {
+			opSeen[in.Op] = true
 		}
-		p := &Program{Name: "fuzz", Code: code}
-		fuse(p) // random code may contain fusable runs; tier 1 must still match
 		proto := protoMachine(64, int64(iter)*7+1)
-		for _, budget := range budgets {
+		for _, budget := range fuzzBudgets {
 			diffRun(t, "fuzz", p, Device(iter%2), budget, proto)
 		}
 	}
@@ -60,6 +33,47 @@ func TestFuzzDirectVsHooked(t *testing.T) {
 	}
 }
 
+// fuzzBudgets are the step budgets every random program runs under:
+// zero, a few steps (budget traps mid-program), and enough to finish
+// most programs or hang in a loop.
+var fuzzBudgets = []uint64{0, 1, 7, 64, 700}
+
+// randomProgram builds a random raw-code program over the whole ISA,
+// fused like a Builder program (random code may contain fusable runs).
+// The code is meant to run on a 64-word memory.
+func randomProgram(rng *rand.Rand) *Program {
+	codeLen := 4 + rng.Intn(40)
+	code := make([]Instr, codeLen)
+	for i := range code {
+		// NumOpcodes occasionally lands an undefined opcode, pinning
+		// the TrapBadInstr path.
+		op := Opcode(rng.Intn(NumOpcodes + 1))
+		in := Instr{
+			Op: op,
+			// NumIntRegs is the smaller file, so indices are valid
+			// for float and int registers alike.
+			Dst: uint16(rng.Intn(NumIntRegs)),
+			A:   uint16(rng.Intn(NumIntRegs)),
+			B:   uint16(rng.Intn(NumIntRegs)),
+			C:   uint16(rng.Intn(NumIntRegs)),
+			Imm: rng.NormFloat64() * 10,
+		}
+		switch op {
+		case JMP, BEQZ, BNEZ:
+			// Mostly valid targets, sometimes just outside.
+			in.IImm = int64(rng.Intn(codeLen+4) - 2)
+		case LD, ST:
+			in.IImm = int64(rng.Intn(140) - 70)
+		default:
+			in.IImm = int64(rng.Intn(2000) - 1000)
+		}
+		code[i] = in
+	}
+	p := &Program{Name: "fuzz", Code: code}
+	fuse(p)
+	return p
+}
+
 // TestFuzzFusedTemplates throws random geometry at every fusion
 // template — random base addresses (including negative and
 // past-the-end), trip counts, offsets, strides, memory sizes, and step
@@ -67,7 +81,19 @@ func TestFuzzDirectVsHooked(t *testing.T) {
 // the hooked loop through every resulting trap and bail-out.
 func TestFuzzFusedTemplates(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
-	builders := []func(r *rand.Rand) *Program{
+	builders := templateBuilders()
+	for iter := 0; iter < 400; iter++ {
+		p := builders[iter%len(builders)](rng)
+		proto := protoMachine(8+rng.Intn(192), int64(iter)+5000)
+		budget := uint64(rng.Intn(2500))
+		diffRun(t, p.Name, p, GPU, budget, proto)
+	}
+}
+
+// templateBuilders returns one random-geometry builder per fusion
+// template (each program carries its template's kernel).
+func templateBuilders() []func(r *rand.Rand) *Program {
+	return []func(r *rand.Rand) *Program{
 		func(r *rand.Rand) *Program {
 			return buildScoreLike(int64(r.Intn(120)-10), int64(r.Intn(120)-10), int64(r.Intn(24)-3))
 		},
@@ -94,12 +120,6 @@ func TestFuzzFusedTemplates(t *testing.T) {
 			return buildCopyLike(int64(r.Intn(120)-10), int64(r.Intn(120)-10),
 				int64(r.Intn(30)-10), int64(r.Intn(60)-10), int64(1+r.Intn(4)))
 		},
-	}
-	for iter := 0; iter < 400; iter++ {
-		p := builders[iter%len(builders)](rng)
-		proto := protoMachine(8+rng.Intn(192), int64(iter)+5000)
-		budget := uint64(rng.Intn(2500))
-		diffRun(t, p.Name, p, GPU, budget, proto)
 	}
 }
 

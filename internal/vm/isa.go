@@ -1,16 +1,19 @@
 // Package vm implements the simulated compute fabric on which the AV
 // agent's computation runs: a register-based virtual machine with a small
 // RISC-style ISA, separate CPU-class and GPU-class devices, data memory,
-// traps, and a writeback hook that is the fault-injection point.
+// traps, and the fault-injection points: a writeback hook and an inline
+// permanent-fault mask.
 //
 // This plays the role of the paper's real hardware + NVBitFI/PinFI stack:
 // the paper's fault model is "XOR the destination register of (one | all)
-// dynamic instance(s) of an opcode", which maps directly onto the
-// writeback hook here. Programs are built with the Builder assembler and
-// executed by a Machine; all agent-visible state (sensor buffers, network
-// activations, controller integrators) lives in Machine memory, so
-// injected corruption propagates across time steps exactly as a corrupted
-// process state would.
+// dynamic instance(s) of an opcode", which maps onto the writeback hook
+// (one instance, by dynamic index) and onto Machine.ArmPermanent (all
+// instances, XOR-ed inline on the hook-free fast path). Programs are
+// built with the Builder assembler and executed by a Machine; all
+// agent-visible state (sensor buffers, network activations, controller
+// integrators) lives in Machine memory, so injected corruption
+// propagates across time steps exactly as a corrupted process state
+// would.
 package vm
 
 import "fmt"

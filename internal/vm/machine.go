@@ -86,8 +86,15 @@ type WriteEvent struct {
 
 // FaultHook inspects a writeback and returns an XOR mask to apply to the
 // raw bits of the written value (0 = no corruption). The hook is the
-// NVBitFI/PinFI analogue; see internal/fi for the injectors.
+// NVBitFI/PinFI analogue for faults addressed by dynamic instruction
+// index (transients) and for profiling; permanent faults arm the
+// machine directly instead (ArmPermanent). See internal/fi.
 type FaultHook func(ev WriteEvent) uint64
+
+// noFault is the permanent-fault opcode of a device with nothing armed:
+// no defined opcode reaches the scalar loop's post-commit fault check
+// with it.
+const noFault = Opcode(0xff)
 
 // deviceState is the per-device register file and instruction counter.
 type deviceState struct {
@@ -104,6 +111,15 @@ type Machine struct {
 	mem  []float64
 	dev  [2]deviceState
 	hook FaultHook
+	// The masked-direct permanent fault (ArmPermanent): every dynamic
+	// instance of permOp on device permDev gets permMask XOR-ed into its
+	// destination. permArmed is false when nothing is armed; permHits
+	// counts the corrupted writebacks.
+	permArmed bool
+	permDev   Device
+	permOp    Opcode
+	permMask  uint64
+	permHits  uint64
 	// tier0Only pins execution to the scalar loop even when a program
 	// has a tier-1 fusion plan; see SetMaxTier.
 	tier0Only bool
@@ -112,10 +128,11 @@ type Machine struct {
 	// dev[_].count they are not part of the architectural state, so
 	// MachineState.Restore leaves them alone and forked runs keep
 	// accumulating.
-	fusedInstr   uint64 // executed inside tier-1 fused kernels
-	scalarInstr  uint64 // executed by the hook-free scalar loop
-	hookedInstr  uint64 // executed by the hooked (fault-injection) loop
-	batchedInstr uint64 // executed in lockstep by RunLanes (see batch.go)
+	// Indexed by Device.
+	fusedInstr   [2]uint64 // executed inside tier-1 fused kernels
+	scalarInstr  [2]uint64 // executed by the hook-free scalar loop
+	hookedInstr  [2]uint64 // executed by the hooked (transient-fault, profiling) loop
+	batchedInstr [2]uint64 // executed in lockstep by RunLanes (see batch.go)
 }
 
 // NewMachine allocates a machine with the given data-memory size in
@@ -125,7 +142,54 @@ func NewMachine(memWords int) *Machine {
 }
 
 // SetFaultHook installs (or clears, with nil) the fault-injection hook.
-func (m *Machine) SetFaultHook(h FaultHook) { m.hook = h }
+// A hook and an armed permanent fault are mutually exclusive: the hooked
+// loop does not apply the permanent fault, so installing a hook on an
+// armed machine panics rather than silently dropping it.
+func (m *Machine) SetFaultHook(h FaultHook) {
+	if h != nil && m.permArmed {
+		panic("vm: SetFaultHook on a machine with an armed permanent fault")
+	}
+	m.hook = h
+}
+
+// ArmPermanent arms a masked-direct permanent fault: from now on every
+// dynamic instance of op executed on device d has mask XOR-ed into its
+// destination — float register, int register, or ST's memory word — as
+// it commits, and counts one activation. This is the paper's permanent
+// fault model (§II-B) without a per-writeback callback: the target
+// device keeps its tier-1 kernels except those whose claimed code
+// contains op, which run on the scalar loop where the mask is applied.
+// An opcode without a destination (control flow) arms nothing, as no
+// injector can corrupt it. Like the hook, the armed fault is run
+// configuration, not architectural state: Snapshot and Restore leave it
+// and its activation count alone. Panics if a fault hook is installed.
+func (m *Machine) ArmPermanent(d Device, op Opcode, mask uint64) {
+	if m.hook != nil {
+		panic("vm: ArmPermanent on a machine with a fault hook")
+	}
+	m.permArmed = op.Dest() != DestNone
+	m.permDev, m.permOp, m.permMask = d, op, mask
+}
+
+// Disarm removes the permanent fault. The activation count is kept.
+func (m *Machine) Disarm() { m.permArmed = false }
+
+// Activations returns how many writebacks the permanent fault has
+// corrupted on this machine.
+func (m *Machine) Activations() uint64 { return m.permHits }
+
+// SetActivations overwrites the permanent fault's activation count; a
+// run forked from a checkpoint continues from the prefix total.
+func (m *Machine) SetActivations(n uint64) { m.permHits = n }
+
+// faultOn returns the permanent-fault opcode runDirect checks on device
+// d, or noFault when d has nothing armed.
+func (m *Machine) faultOn(d Device) Opcode {
+	if m.permArmed && m.permDev == d {
+		return m.permOp
+	}
+	return noFault
+}
 
 // SetMaxTier caps the execution tier: 0 pins the machine to the scalar
 // per-instruction loop, ≥ 1 (the default) also allows fused
@@ -161,14 +225,14 @@ func (m *Machine) ResetCounts() {
 }
 
 // TierCounts returns how many dynamic instructions this machine has
-// executed on each path: inside tier-1 fused kernels, in the hook-free
-// tier-0 scalar loop, in the hooked fault-injection loop, and in the
-// multi-lane lockstep batch loop (RunLanes). The sum equals every
-// instruction ever run (checkpoint restores do not reset these), which
-// is what the flight-recorder summary reports as the tier-1 kernel hit
-// rate.
-func (m *Machine) TierCounts() (fused, scalar, hooked, batched uint64) {
-	return m.fusedInstr, m.scalarInstr, m.hookedInstr, m.batchedInstr
+// executed on device d on each path: inside tier-1 fused kernels, in the
+// hook-free tier-0 scalar loop, in the hooked loop (transient faults,
+// profiling), and in the multi-lane lockstep batch loop (RunLanes). The
+// sum equals every instruction the device ever ran (checkpoint restores
+// do not reset these), which is what the flight-recorder summary reports
+// as the tier-1 kernel hit rate.
+func (m *Machine) TierCounts(d Device) (fused, scalar, hooked, batched uint64) {
+	return m.fusedInstr[d], m.scalarInstr[d], m.hookedInstr[d], m.batchedInstr[d]
 }
 
 // Float returns float register i of the device (for tests).
@@ -181,11 +245,14 @@ func (m *Machine) Int(d Device, i int) int64 { return m.dev[d].r[i] }
 // step budget is exhausted. Register state and memory persist across
 // calls; the program counter starts at the program entry every call.
 //
-// With no fault hook installed (golden, training, and benchmark runs —
-// the vast majority of all executed instructions) Run dispatches to a
-// specialized loop whose writebacks commit directly to the register
-// file, skipping the per-writeback hook plumbing; see runDirect. Both
-// loops execute identical semantics.
+// With no fault hook installed — golden, training, benchmark and
+// permanent-fault runs, the vast majority of all executed instructions —
+// Run dispatches to runDirect, whose writebacks commit straight to the
+// register file (XOR-ing an armed permanent fault's mask in after the
+// target opcode's commit) and which dispatches to tier-1 kernels. A
+// hook (transient faults, profiling) selects runHooked, which offers
+// every writeback to the hook first. Both loops execute identical
+// semantics.
 func (m *Machine) Run(d Device, p *Program, stepBudget uint64) error {
 	if m.hook == nil {
 		return m.runDirect(d, p, p.entry, 0, stepBudget)
@@ -205,8 +272,8 @@ func (m *Machine) resumeLane(d Device, p *Program, pc int, start, stepBudget uin
 	return m.runHooked(d, p, pc, start, stepBudget)
 }
 
-// runHooked is the per-writeback fault-injection loop: every commit is
-// offered to the hook before landing. pc is the starting program
+// runHooked is the per-writeback hook loop of transient faults and
+// profiling passes: every commit is offered to the hook before landing. pc is the starting program
 // counter (p.entry for Run, a resume point for detached batch lanes)
 // and start is how many of this invocation's budgeted steps were
 // already executed elsewhere (always 0 for Run).
@@ -216,11 +283,11 @@ func (m *Machine) runHooked(d Device, p *Program, pc int, start, stepBudget uint
 	steps := start
 	for {
 		if pc < 0 || pc >= len(code) {
-			m.hookedInstr += steps - start
+			m.hookedInstr[d] += steps - start
 			return &Trap{Kind: TrapInvalidPC, Device: d, Program: p.Name, PC: pc}
 		}
 		if steps >= stepBudget {
-			m.hookedInstr += steps - start
+			m.hookedInstr[d] += steps - start
 			return &Trap{Kind: TrapStepBudget, Device: d, Program: p.Name, PC: pc}
 		}
 		steps++
@@ -299,14 +366,14 @@ func (m *Machine) runHooked(d Device, p *Program, pc int, start, stepBudget uint
 		case LD:
 			addr := ds.r[in.A] + in.IImm
 			if addr < 0 || addr >= int64(len(m.mem)) {
-				m.hookedInstr += steps - start
+				m.hookedInstr[d] += steps - start
 				return &Trap{Kind: TrapOOB, Device: d, Program: p.Name, PC: pc - 1}
 			}
 			m.writeF(ds, d, in, m.mem[addr])
 		case ST:
 			addr := ds.r[in.A] + in.IImm
 			if addr < 0 || addr >= int64(len(m.mem)) {
-				m.hookedInstr += steps - start
+				m.hookedInstr[d] += steps - start
 				return &Trap{Kind: TrapOOB, Device: d, Program: p.Name, PC: pc - 1}
 			}
 			v := ds.f[in.B]
@@ -327,10 +394,10 @@ func (m *Machine) runHooked(d Device, p *Program, pc int, start, stepBudget uint
 				pc = int(in.IImm)
 			}
 		case HALT:
-			m.hookedInstr += steps - start
+			m.hookedInstr[d] += steps - start
 			return nil
 		default:
-			m.hookedInstr += steps - start
+			m.hookedInstr[d] += steps - start
 			return &Trap{Kind: TrapBadInstr, Device: d, Program: p.Name, PC: pc - 1}
 		}
 	}
@@ -347,6 +414,13 @@ func (m *Machine) runHooked(d Device, p *Program, pc int, start, stepBudget uint
 // exact count the scalar loop would have; a kernel that cannot make
 // progress (trap ahead, budget too tight) returns 0 and the scalar
 // switch handles that pass. See fuse.go for the bit-exactness rules.
+//
+// An armed permanent fault on d is applied after the switch: a
+// committed instance of the faulted opcode gets the mask XOR-ed into
+// its destination, which equals the hooked loop's XOR-before-commit.
+// Kernels whose static opcode set contains the faulted opcode are
+// skipped, so every instance executes here and the activation count
+// stays exact (TestFuzzPermanentDirectVsHooked).
 func (m *Machine) runDirect(d Device, p *Program, pc int, start, stepBudget uint64) error {
 	ds := &m.dev[d]
 	code := p.Code
@@ -357,23 +431,28 @@ func (m *Machine) runDirect(d Device, p *Program, pc int, start, stepBudget uint
 		kmap = p.plan.pcMap
 		kernels = p.plan.kernels
 	}
+	fop := m.faultOn(d)
+	var skip uint64 // opcode-set bit of the faulted opcode; 0 = fuse everything
+	if fop != noFault {
+		skip = 1 << fop
+	}
 	steps := start
 	var fused uint64
 	for {
 		if pc < 0 || pc >= len(code) {
 			ds.count += steps - start
-			m.fusedInstr += fused
-			m.scalarInstr += steps - start - fused
+			m.fusedInstr[d] += fused
+			m.scalarInstr[d] += steps - start - fused
 			return &Trap{Kind: TrapInvalidPC, Device: d, Program: p.Name, PC: pc}
 		}
 		if steps >= stepBudget {
 			ds.count += steps - start
-			m.fusedInstr += fused
-			m.scalarInstr += steps - start - fused
+			m.fusedInstr[d] += fused
+			m.scalarInstr[d] += steps - start - fused
 			return &Trap{Kind: TrapStepBudget, Device: d, Program: p.Name, PC: pc}
 		}
 		if kmap != nil {
-			if ki := kmap[pc]; ki >= 0 {
+			if ki := kmap[pc]; ki >= 0 && kernels[ki].ops&skip == 0 {
 				if n, npc := kernels[ki].fn(m, ds, stepBudget-steps); n > 0 {
 					steps += n
 					fused += n
@@ -458,8 +537,8 @@ func (m *Machine) runDirect(d Device, p *Program, pc int, start, stepBudget uint
 			addr := ds.r[in.A] + in.IImm
 			if addr < 0 || addr >= int64(len(mem)) {
 				ds.count += steps - start
-				m.fusedInstr += fused
-				m.scalarInstr += steps - start - fused
+				m.fusedInstr[d] += fused
+				m.scalarInstr[d] += steps - start - fused
 				return &Trap{Kind: TrapOOB, Device: d, Program: p.Name, PC: pc - 1}
 			}
 			ds.f[in.Dst] = mem[addr]
@@ -467,8 +546,8 @@ func (m *Machine) runDirect(d Device, p *Program, pc int, start, stepBudget uint
 			addr := ds.r[in.A] + in.IImm
 			if addr < 0 || addr >= int64(len(mem)) {
 				ds.count += steps - start
-				m.fusedInstr += fused
-				m.scalarInstr += steps - start - fused
+				m.fusedInstr[d] += fused
+				m.scalarInstr[d] += steps - start - fused
 				return &Trap{Kind: TrapOOB, Device: d, Program: p.Name, PC: pc - 1}
 			}
 			mem[addr] = ds.f[in.B]
@@ -484,14 +563,28 @@ func (m *Machine) runDirect(d Device, p *Program, pc int, start, stepBudget uint
 			}
 		case HALT:
 			ds.count += steps - start
-			m.fusedInstr += fused
-			m.scalarInstr += steps - start - fused
+			m.fusedInstr[d] += fused
+			m.scalarInstr[d] += steps - start - fused
 			return nil
 		default:
 			ds.count += steps - start
-			m.fusedInstr += fused
-			m.scalarInstr += steps - start - fused
+			m.fusedInstr[d] += fused
+			m.scalarInstr[d] += steps - start - fused
 			return &Trap{Kind: TrapBadInstr, Device: d, Program: p.Name, PC: pc - 1}
+		}
+		if in.Op == fop {
+			m.permHits++
+			switch fop.Dest() {
+			case DestFloat:
+				ds.f[in.Dst] = math.Float64frombits(math.Float64bits(ds.f[in.Dst]) ^ m.permMask)
+			case DestInt:
+				ds.r[in.Dst] ^= int64(m.permMask)
+			case DestMem:
+				// ST leaves r[A] alone, so the address is the one just
+				// bounds-checked and written.
+				addr := ds.r[in.A] + in.IImm
+				mem[addr] = math.Float64frombits(math.Float64bits(mem[addr]) ^ m.permMask)
+			}
 		}
 	}
 }

@@ -24,7 +24,7 @@ func TestTierCounts(t *testing.T) {
 	}
 
 	m1 := run(1, false)
-	fused, scalar, hooked, batched := m1.TierCounts()
+	fused, scalar, hooked, batched := m1.TierCounts(GPU)
 	if fused == 0 {
 		t.Fatal("tier-1 run executed no fused instructions")
 	}
@@ -36,7 +36,7 @@ func TestTierCounts(t *testing.T) {
 	}
 
 	m0 := run(0, false)
-	fused, scalar, hooked, batched = m0.TierCounts()
+	fused, scalar, hooked, batched = m0.TierCounts(GPU)
 	if fused != 0 || hooked != 0 || batched != 0 {
 		t.Fatalf("tier-0 run counted fused=%d hooked=%d batched=%d, want 0", fused, hooked, batched)
 	}
@@ -45,7 +45,7 @@ func TestTierCounts(t *testing.T) {
 	}
 
 	mh := run(1, true)
-	fused, scalar, hooked, batched = mh.TierCounts()
+	fused, scalar, hooked, batched = mh.TierCounts(GPU)
 	if fused != 0 || scalar != 0 || batched != 0 {
 		t.Fatalf("hooked run counted fused=%d scalar=%d batched=%d, want 0", fused, scalar, batched)
 	}
@@ -66,20 +66,20 @@ func TestTierCountsSurviveRestore(t *testing.T) {
 	if err := m.Run(GPU, p, 1<<30); err != nil {
 		t.Fatal(err)
 	}
-	f1, s1, _, _ := m.TierCounts()
+	f1, s1, _, _ := m.TierCounts(GPU)
 
 	m.Restore(st)
 	if m.InstrCount(GPU) != 0 {
 		t.Fatalf("dev count = %d after restore, want 0", m.InstrCount(GPU))
 	}
-	if f, s, _, _ := m.TierCounts(); f != f1 || s != s1 {
+	if f, s, _, _ := m.TierCounts(GPU); f != f1 || s != s1 {
 		t.Fatalf("tier counters reset by Restore: %d/%d, want %d/%d", f, s, f1, s1)
 	}
 
 	if err := m.Run(GPU, p, 1<<30); err != nil {
 		t.Fatal(err)
 	}
-	if f2, s2, _, _ := m.TierCounts(); f2 != 2*f1 || s2 != 2*s1 {
+	if f2, s2, _, _ := m.TierCounts(GPU); f2 != 2*f1 || s2 != 2*s1 {
 		t.Fatalf("second run did not accumulate: %d/%d, want %d/%d", f2, s2, 2*f1, 2*s1)
 	}
 }
@@ -95,7 +95,7 @@ func TestTierCountsOnTrap(t *testing.T) {
 	if err := m.Run(CPU, p, 1000); err == nil {
 		t.Fatal("expected OOB trap")
 	}
-	_, scalar, _, _ := m.TierCounts()
+	_, scalar, _, _ := m.TierCounts(CPU)
 	if scalar != m.InstrCount(CPU) || scalar == 0 {
 		t.Fatalf("scalar = %d after trap, want dev count %d (nonzero)", scalar, m.InstrCount(CPU))
 	}
