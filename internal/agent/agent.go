@@ -149,14 +149,14 @@ func (a *Agent) DigestFNV(h uint64) uint64 { return a.mach.DigestFNV(h) }
 // snapshot; see vm.Machine.StateEquals.
 func (a *Agent) StateEquals(st *vm.MachineState) bool { return a.mach.StateEquals(st) }
 
-// marshalFrame subsamples one camera frame into the staging buffer:
-// every other column always, every other row for side cameras.
-func marshalFrame(mem []float64, base int64, f sensor.Frame, rowStride int) {
+// marshalFrame subsamples one camera frame into the staging buffer: the
+// pixels of lat (centerLattice or sideLattice), row-major. It reads no
+// other pixel.
+func marshalFrame(mem []float64, base int64, f sensor.Frame, lat sensor.Lattice) {
 	idx := base
-	for v := 0; v < sensor.FrameH; v += rowStride {
-		row := v * sensor.FrameW * 3
-		for ug := 0; ug < GridW; ug++ {
-			p := row + (2*ug)*3
+	for v := 0; v < sensor.FrameH; v += lat.Row {
+		for u := 0; u < sensor.FrameW; u += lat.Col {
+			p := (v*sensor.FrameW + u) * 3
 			mem[idx] = float64(f[p])
 			mem[idx+1] = float64(f[p+1])
 			mem[idx+2] = float64(f[p+2])
@@ -190,9 +190,9 @@ func (a *Agent) marshalIn(in *Input) {
 	mem[AddrScalarIn+1] = in.Dt
 	mem[AddrScalarIn+2] = in.SpeedLimit
 	mem[AddrScalarIn+3] = float64(in.FrameIndex)
-	marshalFrame(mem, AddrStageCenter, in.Center, 1)
-	marshalFrame(mem, AddrStageLeft, in.Left, 2)
-	marshalFrame(mem, AddrStageRight, in.Right, 2)
+	marshalFrame(mem, AddrStageCenter, in.Center, centerLattice)
+	marshalFrame(mem, AddrStageLeft, in.Left, sideLattice)
+	marshalFrame(mem, AddrStageRight, in.Right, sideLattice)
 }
 
 // decodeOut reads the actuation mailbox left by the cpuOut program.

@@ -243,3 +243,58 @@ func TestLUTsMonotone(t *testing.T) {
 		t.Errorf("column LUT sign convention wrong: %v .. %v", col[0], col[GridW-1])
 	}
 }
+
+// TestMarshalReadsOnlyLattice pins the agent side of lattice rendering:
+// marshalIn reads only the pixels of Lattice(cam). Full frames and
+// lattice frames, each rendered over a different sentinel fill, must
+// stage identical memory; a read of any off-lattice pixel would see the
+// sentinels differ.
+func TestMarshalReadsOnlyLattice(t *testing.T) {
+	fill := func(b byte) sensor.Frame {
+		f := sensor.NewFrame()
+		for i := range f {
+			f[i] = b
+		}
+		return f
+	}
+	stage := func(sc *sensor.Scene, lattice func(sensor.CameraID) sensor.Lattice, sentinel byte) []float64 {
+		var fr [3]sensor.Frame
+		for i, cam := range []sensor.CameraID{sensor.CamCenter, sensor.CamLeft, sensor.CamRight} {
+			fr[i] = sensor.RenderLattice(cam, sc, fill(sentinel), lattice(cam))
+		}
+		a := New("lattice")
+		a.marshalIn(&Input{Center: fr[0], Left: fr[1], Right: fr[2], Speed: 9, Dt: 0.05, SpeedLimit: 12})
+		return a.mach.Mem()[AddrStage : AddrStage+stageLen]
+	}
+	full := func(sensor.CameraID) sensor.Lattice { return sensor.Full }
+	for i, yaw := range []float64{0, 0.2, -0.35} {
+		sc := &sensor.Scene{
+			EgoPose:         geom.Pose{Yaw: yaw},
+			RoadCenterAhead: func(d float64) float64 { return 1.75 - 0.01*d },
+			RoadHalfWidth:   3.5,
+			LaneMarkOffsets: []float64{-3.5, 0, 3.5},
+			Obstacles: []sensor.RenderObstacle{
+				{Pose: geom.Pose{Pos: geom.V2(12, 0.5), Yaw: 0.1}, HalfL: 2.25, HalfW: 1.0, Braking: true},
+				{Pose: geom.Pose{Pos: geom.V2(7, 5), Yaw: 0.9}, HalfL: 2.25, HalfW: 1.0},
+				{Pose: geom.Pose{Pos: geom.V2(9, -6), Yaw: -0.7}, HalfL: 2.25, HalfW: 1.0},
+			},
+			StopBars:  []sensor.StopBar{{Dist: 6 + float64(i)}},
+			Step:      11 + i,
+			NoiseSeed: 42,
+			NoiseStd:  1.2,
+		}
+		want := stage(sc, full, 0x11)
+		for _, c := range []struct {
+			name     string
+			lattice  func(sensor.CameraID) sensor.Lattice
+			sentinel byte
+		}{{"full", full, 0xee}, {"lattice", Lattice, 0x11}, {"lattice", Lattice, 0xee}} {
+			got := stage(sc, c.lattice, c.sentinel)
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("yaw %v, %s frames over %#x: staging word %d = %v, want %v", yaw, c.name, c.sentinel, j, got[j], want[j])
+				}
+			}
+		}
+	}
+}

@@ -37,6 +37,22 @@ const (
 	scanRow1 = sensor.FrameH - 2     // 38
 )
 
+// The pixel lattices the agent samples (the grid geometry above as
+// column and row strides). Pixels off them never reach the agent, so the
+// sim renders only these.
+var (
+	centerLattice = sensor.Lattice{Col: sensor.FrameW / GridW, Row: sensor.FrameH / CenterH} // (2, 1)
+	sideLattice   = sensor.Lattice{Col: sensor.FrameW / GridW, Row: sensor.FrameH / SideH}   // (2, 2)
+)
+
+// Lattice returns the pixel lattice the agent samples from camera cam.
+func Lattice(cam sensor.CameraID) sensor.Lattice {
+	if cam == sensor.CamCenter {
+		return centerLattice
+	}
+	return sideLattice
+}
+
 // Fabric memory map (64-bit word addresses). Programs reference these
 // constants and the host marshals through them.
 const (
@@ -151,7 +167,7 @@ func RowDistCenterLUT() [CenterH]float64 {
 func RowDistSideLUT() [SideH]float64 {
 	var lut [SideH]float64
 	for rg := 0; rg < SideH; rg++ {
-		d := sensor.RowDistance(2 * rg)
+		d := sensor.RowDistance(sideLattice.Row * rg)
 		if d > sensor.MaxGroundDist {
 			d = sensor.MaxGroundDist
 		}
@@ -161,11 +177,12 @@ func RowDistSideLUT() [SideH]float64 {
 }
 
 // ColLatLUT returns the per-column lateral offset at unit distance;
-// multiply by a row's distance to get meters.
+// multiply by a row's distance to get meters. Both lattices sample the
+// same columns.
 func ColLatLUT() [GridW]float64 {
 	var lut [GridW]float64
 	for cg := 0; cg < GridW; cg++ {
-		lut[cg] = sensor.ColLateral(2*cg, 1.0)
+		lut[cg] = sensor.ColLateral(centerLattice.Col*cg, 1.0)
 	}
 	return lut
 }

@@ -39,6 +39,13 @@ const (
 // frames of one simulation step, after rendering and before the
 // distributor hands them to any agent. frames[0] is the center camera,
 // frames[1] left, frames[2] right.
+//
+// A hook must be pixel-local: the bytes it writes at a pixel may depend
+// on that pixel's own bytes (this step's or a captured earlier step's),
+// never on another pixel's. The runner renders only the pixel lattice
+// each agent camera samples (agent.Lattice) unless a StepHook observes
+// whole frames; the bytes off that lattice are unrendered, hold stale
+// or zero content, and reach no agent.
 type FrameHook func(step int, frames *[3]sensor.Frame)
 
 // OutputHook observes (and may perturb in place) one agent's pipeline

@@ -54,10 +54,11 @@ func (p *Polyline) Length() float64 { return p.cum[len(p.cum)-1] }
 // must not modify it.
 func (p *Polyline) Points() []Vec2 { return p.pts }
 
-// At returns the position at station s (clamped to [0, Length]).
+// At returns the position at station s (clamped to [0, Length]). It
+// skips PoseAt's heading, so it costs no Atan2.
 func (p *Polyline) At(s float64) Vec2 {
-	pos, _ := p.PoseAt(s)
-	return pos
+	s = Clamp(s, 0, p.Length())
+	return p.lerp(p.segmentIndex(s), s)
 }
 
 // PoseAt returns the position and tangent heading at station s
@@ -65,11 +66,14 @@ func (p *Polyline) At(s float64) Vec2 {
 func (p *Polyline) PoseAt(s float64) (Vec2, float64) {
 	s = Clamp(s, 0, p.Length())
 	i := p.segmentIndex(s)
-	a, b := p.pts[i], p.pts[i+1]
-	segLen := p.cum[i+1] - p.cum[i]
-	t := (s - p.cum[i]) / segLen
-	dir := b.Sub(a)
-	return a.Lerp(b, t), dir.Angle()
+	return p.lerp(i, s), p.pts[i+1].Sub(p.pts[i]).Angle()
+}
+
+// lerp returns the position at station s on segment i (s already
+// clamped and inside the segment).
+func (p *Polyline) lerp(i int, s float64) Vec2 {
+	t := (s - p.cum[i]) / (p.cum[i+1] - p.cum[i])
+	return p.pts[i].Lerp(p.pts[i+1], t)
 }
 
 // segmentIndex returns i such that cum[i] <= s <= cum[i+1], by binary
@@ -191,8 +195,8 @@ func (c *Cursor) seek(s float64) int {
 
 // At returns the position at station s (clamped), like Polyline.At.
 func (c *Cursor) At(s float64) Vec2 {
-	pos, _ := c.PoseAt(s)
-	return pos
+	s = Clamp(s, 0, c.p.Length())
+	return c.p.lerp(c.seek(s), s)
 }
 
 // PoseAt returns the position and tangent heading at station s
@@ -201,11 +205,7 @@ func (c *Cursor) PoseAt(s float64) (Vec2, float64) {
 	p := c.p
 	s = Clamp(s, 0, p.Length())
 	i := c.seek(s)
-	a, b := p.pts[i], p.pts[i+1]
-	segLen := p.cum[i+1] - p.cum[i]
-	t := (s - p.cum[i]) / segLen
-	dir := b.Sub(a)
-	return a.Lerp(b, t), dir.Angle()
+	return p.lerp(i, s), p.pts[i+1].Sub(p.pts[i]).Angle()
 }
 
 // Arc appends a circular arc to pts: starting at `start` with heading

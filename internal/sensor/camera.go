@@ -256,10 +256,29 @@ func init() {
 	}
 }
 
-// Render rasterizes the scene from the given camera into dst (allocated
-// if nil) and returns it. Render does not mutate the scene, so the three
-// cameras of one frame may render concurrently into disjoint frames.
+// Lattice is the set of pixels a render fills: every Col-th column and
+// every Row-th row, counted from (0, 0). Every pixel's value depends only
+// on the scene and its own (u, v), so a pixel on a lattice render holds
+// the same bytes as on a full render; the pixels off the lattice keep
+// whatever dst held.
+type Lattice struct{ Col, Row int }
+
+// Full is the lattice of every pixel.
+var Full = Lattice{Col: 1, Row: 1}
+
+// alignUp returns the smallest multiple of stride that is >= lo (lo >= 0).
+func alignUp(lo, stride int) int { return (lo + stride - 1) / stride * stride }
+
+// Render rasterizes the whole frame from the given camera into dst
+// (allocated if nil) and returns it: RenderLattice over Full.
 func Render(cam CameraID, sc *Scene, dst Frame) Frame {
+	return RenderLattice(cam, sc, dst, Full)
+}
+
+// RenderLattice rasterizes the pixels of lattice lat into dst (allocated
+// if nil) and returns it. It does not mutate the scene, so the three
+// cameras of one frame may render concurrently into disjoint frames.
+func RenderLattice(cam CameraID, sc *Scene, dst Frame, lat Lattice) Frame {
 	if dst == nil {
 		dst = NewFrame()
 	}
@@ -268,10 +287,10 @@ func Render(cam CameraID, sc *Scene, dst Frame) Frame {
 	noiseAmp := sc.NoiseStd * 2
 
 	// Sky rows.
-	for v := 0; v <= HorizonRow; v++ {
+	for v := 0; v <= HorizonRow; v += lat.Row {
 		r, g, b := skyCol[v][0], skyCol[v][1], skyCol[v][2]
 		row := v * FrameW
-		for u := 0; u < FrameW; u++ {
+		for u := 0; u < FrameW; u += lat.Col {
 			n := noiseAmp * noiseUnit(hash64(frameKey^pixHash[row+u]))
 			cl := skyCloud[row+u]
 			dst.set(u, v, r+n+cl, g+n+cl, b+n+cl)
@@ -297,10 +316,10 @@ func Render(cam CameraID, sc *Scene, dst Frame) Frame {
 	// memo slot removes most station lookups.
 	lastEx := math.Inf(-1)
 	var lastCenter float64
-	for v := HorizonRow + 1; v < FrameH; v++ {
+	for v := alignUp(HorizonRow+1, lat.Row); v < FrameH; v += lat.Row {
 		gi := (v - HorizonRow - 1) * FrameW
 		row := v * FrameW
-		for u := 0; u < FrameW; u++ {
+		for u := 0; u < FrameW; u += lat.Col {
 			ex := exLUT[gi+u]
 			ey := eyLUT[gi+u]
 			// Ground point in world frame.
@@ -396,12 +415,12 @@ func Render(cam CameraID, sc *Scene, dst Frame) Frame {
 		if v0 < 0 {
 			v0 = 0
 		}
+		// The shading below is anchored at (u0, v0) even where the box
+		// is clipped, so only the visited range is clamped.
+		uFirst, uLast := alignUp(max(u0, 0), lat.Col), min(u1, FrameW-1)
 		brakeTop := proj.VBottom - 0.35*proj.Height
-		for v := v0; v <= v1; v++ {
-			for u := u0; u <= u1; u++ {
-				if u < 0 || u >= FrameW {
-					continue
-				}
+		for v := alignUp(v0, lat.Row); v <= v1; v += lat.Row {
+			for u := uFirst; u <= uLast; u += lat.Col {
 				r, g, b := colCar[0], colCar[1], colCar[2]
 				if o.Braking && float64(v) >= brakeTop {
 					r, g, b = colBrake[0], colBrake[1], colBrake[2]

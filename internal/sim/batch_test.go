@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"diverseav/internal/fi"
+	"diverseav/internal/obs"
 	"diverseav/internal/scenario"
 	"diverseav/internal/vm"
 )
@@ -73,6 +74,7 @@ func buildLanes(t *testing.T, prof *fi.Profile, mode Mode) []lanePlan {
 // activation count as the same config executed cold, with splicing on
 // and (spot-checked) off.
 func TestLaneEquivalenceMatrix(t *testing.T) {
+	obs.Enable()
 	sc := shortScenario()
 	const seed = 4242
 	const every = 40
@@ -102,12 +104,18 @@ func TestLaneEquivalenceMatrix(t *testing.T) {
 			}
 
 			cohortsBefore := cohortRuns.Load()
+			batchedBefore := obs.C("vm.instr_batched").Value()
 			results, err := RunLanesFrom(nil, cfgs, detach)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if cohortRuns.Load() == cohortsBefore {
 				t.Fatal("no lockstep cohort executed; the matrix did not exercise the batched path")
+			}
+			// Only the gpu-mid twins share a detach step, so only their
+			// cohort runs vm.RunLanes; every other lane runs solo.
+			if obs.C("vm.instr_batched").Value() == batchedBefore {
+				t.Error("vm.instr_batched did not move; the twin cohort executed no lockstep instruction")
 			}
 			for i, lp := range lanes {
 				if got := hashTrace(t, results[i].Trace); got != coldHash[i] {

@@ -96,7 +96,10 @@ type Config struct {
 	// corrected.
 	MemFault *MemFault
 	// StepHook, when non-nil, observes each step after sensing and
-	// before agent execution (visualization and debugging).
+	// before agent execution (visualization and debugging). It sees
+	// whole frames: a run with a StepHook renders every pixel, one
+	// without renders only the lattices the agent samples
+	// (agent.Lattice).
 	StepHook func(step int, env *scenario.Env, frames *[3]sensor.Frame)
 	// SerialRender forces the three cameras to render sequentially on
 	// the calling goroutine instead of fanning out over the shared
@@ -233,10 +236,13 @@ type runner struct {
 
 	// Per-run scratch, reused every step so the hot loop allocates
 	// nothing: the scene (with its obstacle and stop-bar slices), the
-	// camera frame buffers, and the NPC vehicle list for collision/CVIP
-	// checks. None of it is checkpointed: every field is fully rewritten
-	// each step before use.
+	// camera frame buffers and the lattice each is rendered on, and the
+	// NPC vehicle list for collision/CVIP checks. None of it is
+	// checkpointed: every value a step reads is rewritten earlier in that
+	// step. For the frames that is the pixels on their lattice; the
+	// others are never rendered and never read (fi.FrameHook).
 	frames      [3]sensor.Frame
+	lattices    [3]sensor.Lattice
 	scene       *sensor.Scene
 	vehicles    []*physics.Vehicle
 	checkpoints []*Checkpoint
@@ -339,7 +345,13 @@ func newRunner(cfg Config) *runner {
 	r.steps = int(cfg.Scenario.Duration * Hz)
 	r.appliedBy = -1
 	r.lastFrame = [2]int{-1, -1}
-	r.frames = [3]sensor.Frame{sensor.NewFrame(), sensor.NewFrame(), sensor.NewFrame()}
+	for i, cam := range renderOrder {
+		r.frames[i] = sensor.NewFrame()
+		r.lattices[i] = agent.Lattice(cam)
+		if cfg.StepHook != nil {
+			r.lattices[i] = sensor.Full
+		}
+	}
 	r.tr.Steps = make([]trace.Step, 0, r.steps)
 
 	r.scene = &sensor.Scene{
@@ -355,7 +367,7 @@ func newRunner(cfg Config) *runner {
 	r.egoSt, _ = r.env.Route.Path.Project(r.env.Ego.State.Pose.Pos)
 	r.vehicles = make([]*physics.Vehicle, 0, len(r.env.NPCs))
 	r.renderCam = func(i int) {
-		sensor.Render(renderOrder[i], r.scene, r.frames[i])
+		sensor.RenderLattice(renderOrder[i], r.scene, r.frames[i], r.lattices[i])
 	}
 	return r
 }
